@@ -36,7 +36,7 @@ from ..engine.aggregates import Aggregate
 from ..engine.catalog import Catalog, CatalogError
 from ..engine.executor import ParallelConfig, ParallelExecutor
 from ..engine.expressions import Col, Lit
-from ..engine.predicates import And, Comparison, InList, Or
+from ..engine.predicates import And, Comparison, InList, disjoin
 from ..engine.query import Projection, Query
 from ..engine.render import render_query
 from ..engine.schema import Column, ColumnType
@@ -2273,7 +2273,7 @@ class AquaSystem:
                     for column, value in zip(group_by, key)
                 ]
                 terms.append(reduce(And, equalities))
-            key_predicate = reduce(Or, terms)
+            key_predicate = disjoin(terms)
         where = (
             key_predicate
             if query.where is None
@@ -2877,34 +2877,68 @@ class AquaSystem:
 
     def insert(self, name: str, row: Sequence) -> None:
         """Insert one tuple into a table (buffered) and its maintainer."""
+        self.insert_many(name, [row])
+
+    def insert_many(self, name: str, rows: Sequence[Sequence]) -> None:
+        """Insert tuples in order, exactly as one :meth:`insert` per row.
+
+        The maintainer sees every row in order, and an auto-refresh policy
+        fires after the same row it would for single inserts.  The lock,
+        version bump, roll-up invalidation and metrics are paid once per
+        run of rows between refreshes rather than once per row.
+        """
         state = self._state(name)
+        rows = [tuple(row) for row in rows]
+        start = 0
+        while start < len(rows):
+            stop = start + self._rows_until_refresh(
+                name, state, len(rows) - start
+            )
+            self._append_rows(name, state, rows[start:stop])
+            self._maybe_auto_refresh(name)
+            start = stop
+
+    def _rows_until_refresh(
+        self, name: str, state: _TableState, remaining: int
+    ) -> int:
+        """How many of ``remaining`` rows to insert before the refresh
+        policy next fires (all of them if it does not)."""
+        policy = state.refresh_policy
+        if policy is None or name not in self._synopses:
+            return remaining
+        for count in range(1, remaining):
+            if policy.should_refresh(
+                state.inserts_since_refresh + count, state.rows_at_refresh
+            ):
+                return count
+        return remaining
+
+    def _append_rows(
+        self, name: str, state: _TableState, rows: List[Tuple]
+    ) -> None:
         with state.lock:
-            state.pending_rows.append(tuple(row))
-            state.inserts_since_refresh += 1
+            state.pending_rows.extend(rows)
+            state.inserts_since_refresh += len(rows)
             state.version += 1  # invalidates cached answers for this table
             if self._reuse is not None:
                 self._reuse.invalidate(name)
             if state.maintainer is not None:
-                state.maintainer.insert(row)
-                state.maintainer.inserts_seen += 1
+                for row in rows:
+                    state.maintainer.insert(row)
+                state.maintainer.inserts_seen += len(rows)
         metrics = self.telemetry.metrics
         if metrics.enabled:
             metrics.counter(
                 "aqua_inserts_total",
                 "Tuples inserted through AquaSystem.insert(), per table.",
                 ("table",),
-            ).inc(table=name)
+            ).inc(len(rows), table=name)
             metrics.gauge(
                 "aqua_pending_rows",
                 "Inserted rows buffered but not yet flushed to the base "
                 "relation.",
                 ("table",),
             ).set(len(state.pending_rows), table=name)
-        self._maybe_auto_refresh(name)
-
-    def insert_many(self, name: str, rows: Sequence[Sequence]) -> None:
-        for row in rows:
-            self.insert(name, row)
 
     def refresh_synopsis(self, name: str, trigger: str = "manual") -> Synopsis:
         """Re-materialize the synopsis from the maintainer's current state.

@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .groupby import factorize
 from .table import Table
 
 __all__ = ["Partition", "Partitioner"]
@@ -103,7 +104,7 @@ class Partitioner:
             values = table.column(name)
             # Stable per-column hashing: factorize to dense codes first so
             # string columns hash cheaply and reproducibly.
-            _, codes = np.unique(values, return_inverse=True)
+            codes, __ = factorize(values)
             buckets = buckets * 1000003 + codes
         buckets = buckets % k
         out = []

@@ -24,6 +24,7 @@ __all__ = [
     "Or",
     "Not",
     "TruePredicate",
+    "disjoin",
 ]
 
 
@@ -160,6 +161,21 @@ class Or(Predicate):
 
     def __repr__(self) -> str:
         return f"({self.left!r} OR {self.right!r})"
+
+
+def disjoin(parts: Sequence[Predicate]) -> Predicate:
+    """The disjunction of ``parts`` (non-empty) as a balanced ``Or`` tree.
+
+    Evaluation, equality, hashing and rendering all recurse through the
+    tree, so a left-deep chain of a few hundred terms (one per repaired
+    group key) overflows the interpreter's recursion limit; a balanced
+    tree keeps the depth logarithmic.  Up to three parts it is the
+    left-deep chain.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    mid = (len(parts) + 1) // 2
+    return Or(disjoin(parts[:mid]), disjoin(parts[mid:]))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..engine.aggregates import Aggregate
@@ -48,6 +47,7 @@ from ..engine.predicates import (
     Or,
     Predicate,
     TruePredicate,
+    disjoin,
 )
 from ..engine.query import Projection, Query
 from ..engine.render import render_expression, render_predicate
@@ -112,7 +112,7 @@ def _normalize(predicate: Predicate) -> Predicate:
         parts = []
         for part in _split_or(predicate):
             parts.extend(_split_or(_normalize(part)))
-        return reduce(Or, _sorted_unique(parts))
+        return disjoin(_sorted_unique(parts))
     if isinstance(predicate, Not):
         return Not(_normalize(predicate.operand))
     if isinstance(predicate, Comparison):

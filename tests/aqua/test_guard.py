@@ -12,6 +12,8 @@ from repro.aqua import (
 )
 from repro.engine import Column, ColumnType, Schema, Table
 from repro.errors import GuardViolationError, StaleSynopsisError
+from repro.synthetic import LineitemConfig, generate_lineitem
+from repro.synthetic.queries import qg3
 from repro.testing import FaultInjector
 
 SQL = "select a, b, sum(q) s from rel group by a, b order by a, b"
@@ -134,6 +136,32 @@ class TestRepair:
         for row in answer.result.to_dicts():
             if row[PROVENANCE_COLUMN] == PROVENANCE_REPAIRED:
                 assert row["s"] == pytest.approx(exact[(row["a"], row["b"])])
+
+
+    def test_repair_of_many_groups_matches_exact(self):
+        """Hundreds of repaired keys: the repair predicate is a balanced
+        disjunction, so no pass recurses once per key."""
+        table = generate_lineitem(
+            LineitemConfig(table_size=50_000, num_groups=1000, seed=0)
+        )
+        system = AquaSystem(space_budget=2_500)
+        system.register_table("lineitem", table)
+        sql = qg3().sql
+        answer = system.answer(sql)
+        keys = ["l_returnflag", "l_linestatus", "l_shipdate"]
+        exact = {
+            tuple(r[k] for k in keys): r["sum_qty"]
+            for r in system.exact(sql).to_dicts()
+        }
+        repaired = [
+            row
+            for row in answer.result.to_dicts()
+            if row[PROVENANCE_COLUMN] == PROVENANCE_REPAIRED
+        ]
+        assert len(repaired) > 300
+        for row in repaired:
+            key = tuple(row[k] for k in keys)
+            assert row["sum_qty"] == pytest.approx(exact[key], rel=1e-9)
 
 
 class TestFullFallback:

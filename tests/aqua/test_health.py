@@ -107,6 +107,44 @@ class TestRefreshPolicy:
             system.insert("rel", row)
         assert system._state("rel").inserts_since_refresh == 5
 
+    def test_insert_many_matches_per_row_inserts(self):
+        rows = list(make_table(n=25, seed=3).iter_rows())
+        systems, refresh_points = [], []
+        for batched in (False, True):
+            system = AquaSystem(space_budget=400, rng=np.random.default_rng(1))
+            system.register_table("rel", make_table())
+            system.enable_maintenance("rel")
+            system.set_refresh_policy("rel", RefreshPolicy(max_inserts=10))
+            points = []
+            refresh = system.refresh_synopsis
+
+            def recording_refresh(name, trigger="manual", system=system,
+                                  points=points, refresh=refresh):
+                points.append(len(system._state(name).pending_rows))
+                return refresh(name, trigger)
+
+            system.refresh_synopsis = recording_refresh
+            if batched:
+                system.insert_many("rel", rows)
+            else:
+                for row in rows:
+                    system.insert("rel", row)
+            systems.append(system)
+            refresh_points.append(points)
+        assert refresh_points == [[11, 22], [11, 22]]
+        looped, batched = (s._state("rel") for s in systems)
+        assert looped.inserts_since_refresh == batched.inserts_since_refresh == 3
+        assert (
+            looped.maintainer.snapshot().rows_by_group
+            == batched.maintainer.snapshot().rows_by_group
+        )
+        for system in systems:
+            system._flush_pending("rel")
+        for name in looped.table.schema.names:
+            assert np.array_equal(
+                looped.table.column(name), batched.table.column(name)
+            )
+
     def test_should_refresh_thresholds(self):
         policy = RefreshPolicy(max_inserts=5, max_drift_fraction=0.5)
         assert not policy.should_refresh(5, 1000)

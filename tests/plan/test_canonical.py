@@ -20,6 +20,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.aqua.system import AquaSystem  # noqa: E402
 from repro.engine import Column, ColumnType, Schema, Table  # noqa: E402
+from repro.engine.expressions import Col  # noqa: E402
+from repro.engine.predicates import Comparison, Or, disjoin  # noqa: E402
 from repro.engine.sql import parse_query  # noqa: E402
 from repro.plan import (  # noqa: E402
     canonicalize,
@@ -32,6 +34,12 @@ from repro.plan import (  # noqa: E402
 
 def _query(sql):
     return parse_query(sql)
+
+
+def _or_depth(predicate):
+    if isinstance(predicate, Or):
+        return 1 + max(_or_depth(predicate.left), _or_depth(predicate.right))
+    return 0
 
 
 class TestPredicateCanonicalization:
@@ -55,6 +63,14 @@ class TestPredicateCanonicalization:
         assert canonicalize_predicate(a.where) == canonicalize_predicate(
             b.where
         )
+
+    def test_wide_disjunction_stays_balanced(self):
+        terms = [
+            Comparison.of(Col("g"), "=", f"k{i:04d}") for i in range(2000)
+        ]
+        canonical = canonicalize_predicate(disjoin(terms[::-1]))
+        assert _or_depth(canonical) <= 12
+        assert canonical == canonicalize_predicate(disjoin(terms))
 
     def test_conjunct_texts_cover_where_and_none(self):
         q = _query("SELECT g FROM t WHERE v > 2 AND g = 'x' GROUP BY g")
